@@ -1,13 +1,20 @@
 // Checkpoint-path microbenchmarks (google-benchmark): full-baseline vs delta
 // frame encoding at controlled dirty fractions, decode+apply on the holder
 // side, and the CRC-32 primitive itself. Byte counters accompany the timings
-// so run_bench.sh can report the delta/full size ratio directly.
+// so run_bench.sh can report the delta/full size ratio directly. The
+// BM_DeltaShare rows run real applications to convergence and report which
+// share of their saves went out as delta frames.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
 #include "core/backup.hpp"
 #include "core/checkpoint.hpp"
+#include "core/daemon.hpp"
+#include "core/deployment.hpp"
+#include "core/generic_task.hpp"
+#include "heat_task.hpp"
+#include "poisson/poisson.hpp"
 #include "serial/checksum.hpp"
 #include "serial/serial.hpp"
 #include "support/rng.hpp"
@@ -128,6 +135,89 @@ void BM_MaterializeChain(benchmark::State& state) {
                           static_cast<std::int64_t>(size));
 }
 BENCHMARK(BM_MaterializeChain)->Arg(1)->Arg(8)->Arg(16);
+
+/// Run `config` to convergence without failures and report the frames every
+/// daemon's DeltaEncoder emitted: saves, delta_share (deltas / saves) and the
+/// mean full and delta frame sizes.
+void run_delta_share(benchmark::State& state,
+                     const core::SimDeploymentConfig& config) {
+  std::uint64_t fulls = 0;
+  std::uint64_t deltas = 0;
+  std::uint64_t full_bytes = 0;
+  std::uint64_t delta_bytes = 0;
+  for (auto _ : state) {
+    core::SimDeployment deployment(config);
+    if (!deployment.run().spawner.completed) {
+      state.SkipWithError("did not converge");
+      return;
+    }
+    for (const auto node : deployment.daemon_nodes()) {
+      const auto* daemon =
+          dynamic_cast<const core::Daemon*>(deployment.world().actor(node));
+      if (daemon == nullptr) continue;
+      fulls += daemon->checkpoint_fulls();
+      deltas += daemon->checkpoint_deltas();
+      full_bytes += daemon->checkpoint_full_bytes();
+      delta_bytes += daemon->checkpoint_delta_bytes();
+    }
+  }
+  const auto mean = [](std::uint64_t bytes, std::uint64_t count) {
+    return count == 0 ? 0.0 : static_cast<double>(bytes) / count;
+  };
+  state.counters["saves"] = static_cast<double>(fulls + deltas);
+  state.counters["delta_share"] =
+      fulls + deltas == 0 ? 0.0
+                          : static_cast<double>(deltas) / (fulls + deltas);
+  state.counters["full_frame_bytes"] = mean(full_bytes, fulls);
+  state.counters["delta_frame_bytes"] = mean(delta_bytes, deltas);
+}
+
+/// generic_task with examples/generic_solver's settings (5 tasks, k = 5,
+/// 3 backup peers) on the isotropic 20x20 Laplacian.
+void BM_DeltaShareGenericTask(benchmark::State& state) {
+  core::GenericMultisplitTask::force_registration();
+  core::GenericConfig gc;
+  gc.a = poisson::assemble_laplacian(20);
+  gc.b = linalg::Vector(gc.a.rows(), 1.0);
+  gc.inner_tolerance = 1e-10;
+  gc.work_scale = 500.0;
+
+  core::SimDeploymentConfig config;
+  config.super_peer_count = 2;
+  config.daemon_count = 5 + 3;
+  config.app.app_id = 9;
+  config.app.program = core::GenericMultisplitTask::kProgramName;
+  config.app.config = serial::encode(gc);
+  config.app.task_count = 5;
+  config.app.checkpoint_every = 5;
+  config.app.backup_peer_count = 3;
+  config.app.convergence_threshold = 1e-8;
+  config.app.stable_iterations_required = 4;
+  config.max_sim_time = 4000.0;
+  run_delta_share(state, config);
+}
+BENCHMARK(BM_DeltaShareGenericTask)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+/// examples/custom_application's heat task with that example's settings
+/// (256 cells, 6 tasks, k = 10, 2 backup peers).
+void BM_DeltaShareHeatTask(benchmark::State& state) {
+  core::TaskProgramRegistry::instance().register_program(
+      examples::HeatTask::kProgramName,
+      [] { return std::make_unique<examples::HeatTask>(); });
+  core::SimDeploymentConfig config;
+  config.super_peer_count = 2;
+  config.daemon_count = 6 + 3;
+  config.app.app_id = 77;
+  config.app.program = examples::HeatTask::kProgramName;
+  config.app.config = serial::encode(examples::HeatConfig{});
+  config.app.task_count = 6;
+  config.app.checkpoint_every = 10;
+  config.app.backup_peer_count = 2;
+  config.app.convergence_threshold = 1e-10;
+  config.app.stable_iterations_required = 4;
+  run_delta_share(state, config);
+}
+BENCHMARK(BM_DeltaShareHeatTask)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -123,9 +123,11 @@ echo "wrote ${CKPT_OUT}"
 jq -r '
   .benchmarks[] |
   if (.frame_bytes != null and .full_bytes != null) then
-    "\(.name): \(.real_time | floor)ns  frame \(.frame_bytes | floor)B  full \(.full_bytes | floor)B  ratio \((.frame_bytes / .full_bytes * 1000 | floor) / 1000)"
+    "\(.name): \(.real_time | floor)\(.time_unit)  frame \(.frame_bytes | floor)B  full \(.full_bytes | floor)B  ratio \((.frame_bytes / .full_bytes * 1000 | floor) / 1000)"
+  elif (.delta_share != null) then
+    "\(.name): \(.saves | floor) saves  delta_share \((.delta_share * 10000 | floor) / 10000)  full \(.full_frame_bytes | floor)B  delta \(.delta_frame_bytes | floor)B"
   else
-    "\(.name): \(.real_time | floor)ns" + (if .frame_bytes != null then "  frame \(.frame_bytes | floor)B" else "" end)
+    "\(.name): \(.real_time | floor)\(.time_unit)" + (if .frame_bytes != null then "  frame \(.frame_bytes | floor)B" else "" end)
   end
 ' "${CKPT_OUT}"
 

@@ -10,22 +10,77 @@ namespace jacepp::core::checkpoint {
 
 namespace {
 
+/// Byte size of the shared frame prologue (everything before the payload).
+std::size_t header_size(std::uint64_t baseline_id, std::uint64_t delta_seq,
+                        std::uint32_t chunk_size, std::size_t state_size) {
+  return 1 + serial::varint_size(baseline_id) +
+         serial::varint_size(delta_seq) + serial::varint_size(chunk_size) +
+         serial::varint_size(state_size) + 4;
+}
+
 /// Shared frame prologue: everything up to (not including) the payload.
 void write_header(serial::Writer& w, FrameKind kind, std::uint64_t baseline_id,
                   std::uint64_t delta_seq, std::uint32_t chunk_size,
-                  const serial::Bytes& state) {
+                  std::size_t state_size, std::uint32_t state_crc) {
   w.u8(static_cast<std::uint8_t>(kind));
   w.varint(baseline_id);
   w.varint(delta_seq);
   w.varint(chunk_size);
-  w.varint(state.size());
-  w.u32(serial::crc32(state));
+  w.varint(state_size);
+  w.u32(state_crc);
 }
 
-/// Append the trailing frame CRC over everything written so far.
-serial::Bytes seal(serial::Writer&& w) {
-  const std::uint32_t crc = serial::crc32(w.data());
-  w.u32(crc);
+/// A writer whose buffer already holds `size` bytes of capacity, so encoding
+/// a frame of known size never reallocates.
+serial::Writer sized_writer(std::size_t size) {
+  serial::Bytes buffer;
+  buffer.reserve(size);
+  return serial::Writer(std::move(buffer));
+}
+
+/// [lo, lo + len) of chunk `index` inside a state of `state_size` bytes.
+std::pair<std::size_t, std::size_t> chunk_span(std::uint32_t index,
+                                               std::uint32_t chunk_size,
+                                               std::size_t state_size) {
+  const std::size_t lo = static_cast<std::size_t>(index) * chunk_size;
+  JACEPP_ASSERT(lo < state_size);
+  return {lo, std::min<std::size_t>(state_size - lo, chunk_size)};
+}
+
+/// Full frame for a state whose CRC the caller already holds. The trailing
+/// frame CRC is combined from the CRC of the bytes before the state and
+/// `state_crc`, so the state is not scanned a second time.
+serial::Bytes full_frame(std::uint64_t baseline_id, std::uint32_t chunk_size,
+                         const serial::Bytes& state, std::uint32_t state_crc) {
+  const std::size_t prefix = header_size(baseline_id, 0, chunk_size,
+                                         state.size()) +
+                             serial::varint_size(state.size());
+  serial::Writer w = sized_writer(prefix + state.size() + 4);
+  write_header(w, FrameKind::Full, baseline_id, /*delta_seq=*/0, chunk_size,
+               state.size(), state_crc);
+  w.bytes(state);
+  w.u32(serial::crc32_combine(serial::crc32(w.data().data(), prefix),
+                              state_crc, state.size()));
+  return w.take();
+}
+
+/// Delta frame for a state whose CRC the caller already holds.
+serial::Bytes delta_frame(std::uint64_t baseline_id, std::uint64_t delta_seq,
+                          std::uint32_t chunk_size, const serial::Bytes& state,
+                          const std::vector<std::uint32_t>& chunk_indices,
+                          std::uint32_t state_crc) {
+  JACEPP_ASSERT(chunk_size > 0 && delta_seq > 0);
+  serial::Writer w = sized_writer(delta_frame_size(
+      baseline_id, delta_seq, chunk_size, state.size(), chunk_indices));
+  write_header(w, FrameKind::Delta, baseline_id, delta_seq, chunk_size,
+               state.size(), state_crc);
+  w.varint(chunk_indices.size());
+  for (const std::uint32_t index : chunk_indices) {
+    const auto [lo, len] = chunk_span(index, chunk_size, state.size());
+    w.varint(index);
+    w.bytes(state.data() + lo, len);
+  }
+  w.u32(serial::crc32(w.data()));
   return w.take();
 }
 
@@ -35,40 +90,38 @@ serial::Bytes encode_full_frame(std::uint64_t baseline_id,
                                 std::uint32_t chunk_size,
                                 const serial::Bytes& state) {
   JACEPP_ASSERT(chunk_size > 0);
-  serial::Writer w;
-  write_header(w, FrameKind::Full, baseline_id, /*delta_seq=*/0, chunk_size,
-               state);
-  w.bytes(state);
-  return seal(std::move(w));
+  return full_frame(baseline_id, chunk_size, state, serial::crc32(state));
+}
+
+std::size_t delta_frame_size(std::uint64_t baseline_id, std::uint64_t delta_seq,
+                             std::uint32_t chunk_size, std::size_t state_size,
+                             const std::vector<std::uint32_t>& chunk_indices) {
+  std::size_t size = header_size(baseline_id, delta_seq, chunk_size,
+                                 state_size) +
+                     serial::varint_size(chunk_indices.size()) + 4;
+  for (const std::uint32_t index : chunk_indices) {
+    const std::size_t len = chunk_span(index, chunk_size, state_size).second;
+    size += serial::varint_size(index) + serial::varint_size(len) + len;
+  }
+  return size;
 }
 
 serial::Bytes encode_delta_frame(
     std::uint64_t baseline_id, std::uint64_t delta_seq,
     std::uint32_t chunk_size, const serial::Bytes& state,
     const std::vector<std::uint32_t>& chunk_indices) {
-  JACEPP_ASSERT(chunk_size > 0 && delta_seq > 0);
-  serial::Writer w;
-  write_header(w, FrameKind::Delta, baseline_id, delta_seq, chunk_size, state);
-  w.varint(chunk_indices.size());
-  for (const std::uint32_t index : chunk_indices) {
-    const std::size_t lo = static_cast<std::size_t>(index) * chunk_size;
-    JACEPP_ASSERT(lo < state.size());
-    const std::size_t hi = std::min(state.size(), lo + chunk_size);
-    w.varint(index);
-    w.bytes(serial::Bytes(state.begin() + static_cast<std::ptrdiff_t>(lo),
-                          state.begin() + static_cast<std::ptrdiff_t>(hi)));
-  }
-  return seal(std::move(w));
+  return delta_frame(baseline_id, delta_seq, chunk_size, state, chunk_indices,
+                     serial::crc32(state));
 }
 
 std::optional<DecodedFrame> decode_frame(const serial::Bytes& frame) {
-  // Trailing CRC first: a flipped bit anywhere (header, payload, CRC itself)
-  // fails here before any field is trusted.
   if (frame.size() < 4) return std::nullopt;
   const std::size_t body = frame.size() - 4;
-  serial::Reader tail(frame.data() + body, 4);
-  if (serial::crc32(frame.data(), body) != tail.u32()) return std::nullopt;
+  const std::uint32_t frame_crc = serial::Reader(frame.data() + body, 4).u32();
 
+  // The header is parsed through the bounds-checked Reader before any CRC is
+  // checked. A frame is accepted only when every check passes, so the order
+  // of the checks does not change which frames are accepted.
   serial::Reader r(frame.data(), body);
   DecodedFrame f;
   const std::uint8_t kind = r.u8();
@@ -85,15 +138,28 @@ std::optional<DecodedFrame> decode_frame(const serial::Bytes& frame) {
   f.chunk_size = static_cast<std::uint32_t>(chunk_size);
 
   if (f.kind == FrameKind::Full) {
+    // One pass over the state: its CRC must equal the header's state
+    // checksum, and combined with the CRC of the bytes before the state it
+    // must equal the trailing frame CRC (= a CRC over the whole body).
     if (f.delta_seq != 0) return std::nullopt;
-    f.full_state = r.bytes();
-    if (!r.ok() || !r.exhausted() || f.full_state.size() != f.total_size) {
+    const std::uint64_t len = r.varint();
+    if (!r.ok() || len != r.remaining() || len != f.total_size) {
       return std::nullopt;
     }
-    if (serial::crc32(f.full_state) != f.state_checksum) return std::nullopt;
+    const std::size_t prefix = body - static_cast<std::size_t>(len);
+    const std::uint8_t* state = frame.data() + prefix;
+    const std::uint32_t state_crc = serial::crc32(state, len);
+    if (state_crc != f.state_checksum ||
+        serial::crc32_combine(serial::crc32(frame.data(), prefix), state_crc,
+                              len) != frame_crc) {
+      return std::nullopt;
+    }
+    f.full_state.assign(state, state + len);
     return f;
   }
 
+  // Delta: the trailing CRC covers header, chunk list and payloads.
+  if (serial::crc32(frame.data(), body) != frame_crc) return std::nullopt;
   if (f.delta_seq == 0) return std::nullopt;
   const std::uint64_t chunk_total =
       (f.total_size + f.chunk_size - 1) / f.chunk_size;
@@ -195,6 +261,8 @@ DeltaEncoder::Emitted DeltaEncoder::emit(
   bool full = h.needs_full || h.baseline_id == 0 ||
               h.delta_seq >= policy_.rebase_every || h.chain_bytes >= budget;
 
+  // The state is read once for its CRC; both frame kinds reuse it.
+  const std::uint32_t state_crc = serial::crc32(state);
   Emitted out;
   if (!full) {
     scratch_chunks_.clear();
@@ -205,13 +273,17 @@ DeltaEncoder::Emitted DeltaEncoder::emit(
         scratch_chunks_.push_back(static_cast<std::uint32_t>(c));
       }
     }
-    out.frame = encode_delta_frame(h.baseline_id, h.delta_seq + 1,
-                                   policy_.chunk_size, state, scratch_chunks_);
+    const std::size_t delta_size =
+        delta_frame_size(h.baseline_id, h.delta_seq + 1, policy_.chunk_size,
+                         state.size(), scratch_chunks_);
     // A delta carrying nearly every chunk is no cheaper than a baseline and
     // would only lengthen the chain a rollback must replay.
-    if (out.frame.size() >= state.size()) {
+    if (delta_size >= state.size()) {
       full = true;
     } else {
+      out.frame = delta_frame(h.baseline_id, h.delta_seq + 1,
+                              policy_.chunk_size, state, scratch_chunks_,
+                              state_crc);
       ++h.delta_seq;
       h.chain_bytes += out.frame.size();
       std::fill(h.dirty.begin(), h.dirty.end(), 0);
@@ -226,7 +298,7 @@ DeltaEncoder::Emitted DeltaEncoder::emit(
 
   if (full) {
     const std::uint64_t id = next_baseline_id_++;
-    out.frame = encode_full_frame(id, policy_.chunk_size, state);
+    out.frame = full_frame(id, policy_.chunk_size, state, state_crc);
     out.kind = FrameKind::Full;
     out.baseline_id = id;
     out.delta_seq = 0;

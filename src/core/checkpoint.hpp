@@ -133,7 +133,14 @@ serial::Bytes encode_delta_frame(std::uint64_t baseline_id,
                                  const serial::Bytes& state,
                                  const std::vector<std::uint32_t>& chunk_indices);
 
-/// Decode and validate a frame (frame CRC, bounds, canonical chunk list).
+/// Exact byte size of encode_delta_frame() for the same arguments, computed
+/// without encoding (the encoder's full-vs-delta decision uses it).
+std::size_t delta_frame_size(std::uint64_t baseline_id, std::uint64_t delta_seq,
+                             std::uint32_t chunk_size, std::size_t state_size,
+                             const std::vector<std::uint32_t>& chunk_indices);
+
+/// Decode and validate a frame (frame CRC, state CRC of a full frame, bounds,
+/// canonical chunk list).
 /// nullopt on any corruption or truncation.
 std::optional<DecodedFrame> decode_frame(const serial::Bytes& frame);
 

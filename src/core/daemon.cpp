@@ -541,7 +541,7 @@ void Daemon::do_checkpoint() {
   if (!holder.valid() || holder == env_->self()) return;
 
   const serial::Bytes state = task_->checkpoint();
-  const auto emitted =
+  auto emitted =
       encoder_->emit(target_index, state, task_->take_dirty_ranges());
   if (emitted.kind == checkpoint::FrameKind::Full) {
     ++ckpt_fulls_;
@@ -555,8 +555,8 @@ void Daemon::do_checkpoint() {
   save.app_id = app_.app_id;
   save.task_id = task_id_;
   save.iteration = iteration_;
-  save.state = emitted.frame;
   const std::size_t frame_bytes = emitted.frame.size();
+  save.state = std::move(emitted.frame);
   rmi::invoke(*env_, holder, save);
 
   // Adaptive interval: size k so the modelled serialize+send cost stays near

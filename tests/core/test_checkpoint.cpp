@@ -111,6 +111,121 @@ TEST(CheckpointCodec, EverySingleByteFlipIsRejected) {
   }
 }
 
+// --- Wire format pins -------------------------------------------------------
+//
+// The digests below were recorded from the byte-at-a-time CRC and
+// encode-then-compare encoder that preceded slicing-by-8 and single-pass
+// framing; they prove the frame bytes and the encoder's full/delta decisions
+// did not move. All inputs come from raw mt19937_64 output, which the C++
+// standard fixes, so the digests are portable.
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kPinnedFullDigest = 0x93065c2cd73122c6ull;
+constexpr std::uint64_t kPinnedDeltaDigest = 0xf98e20ff1bf489b2ull;
+constexpr std::uint64_t kPinnedStreamDigest = 0x608a6b20d72895dbull;
+constexpr std::uint64_t kPinnedStreamFulls = 25;
+
+std::uint64_t fnv1a(std::uint64_t h, const Bytes& bytes) {
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(CheckpointWireFormat, FullAndDeltaFramesMatchCommittedDigests) {
+  std::mt19937_64 rng(2024);
+  const Bytes state = random_state(rng, 10000);
+  const Bytes full = checkpoint::encode_full_frame(3, 4096, state);
+  // 20 chunks of 512 bytes; chunk 19 is the 272-byte tail.
+  const Bytes delta =
+      checkpoint::encode_delta_frame(3, 2, 512, state, {0, 5, 19});
+  EXPECT_EQ(full.size(), 10017u);
+  EXPECT_EQ(delta.size(), 1321u);
+  EXPECT_EQ(fnv1a(kFnvBasis, full), kPinnedFullDigest);
+  EXPECT_EQ(fnv1a(kFnvBasis, delta), kPinnedDeltaDigest);
+}
+
+TEST(CheckpointWireFormat, EncoderFrameStreamMatchesCommittedDigest) {
+  // Two holders in round robin, a short rebase interval, empty saves,
+  // hint-free saves, and saves that rewrite the whole state (where a delta
+  // would be no smaller than the state, so a baseline goes out instead).
+  std::mt19937_64 rng(2025);
+  CheckpointPolicy p;
+  p.chunk_size = 128;
+  p.rebase_every = 6;
+  DeltaEncoder encoder(p, 2);
+  Bytes state = random_state(rng, 3000);
+  std::uint64_t digest = kFnvBasis;
+  std::uint64_t fulls = 0;
+  std::uint64_t deltas = 0;
+  for (int step = 0; step < 120; ++step) {
+    DirtyRanges hints;
+    if (step % 10 == 9) {  // every tenth save rewrites the whole state
+      for (auto& b : state) b = static_cast<std::uint8_t>(rng());
+      hints.mark_all();
+    }
+    const int ranges = step % 10 == 9 ? 0 : static_cast<int>(rng() % 4);
+    for (int i = 0; i < ranges; ++i) {
+      const std::size_t lo = rng() % state.size();
+      const std::size_t hi = std::min(state.size(), lo + 1 + rng() % 200);
+      for (std::size_t j = lo; j < hi; ++j) {
+        state[j] = static_cast<std::uint8_t>(rng());
+      }
+      hints.mark(lo, hi);
+    }
+    const auto emitted =
+        encoder.emit(static_cast<std::size_t>(step) % 2, state,
+                     step % 7 == 3 ? std::nullopt
+                                   : std::optional<DirtyRanges>(hints));
+    digest = fnv1a(digest, emitted.frame);
+    if (step % 10 == 9) {
+      EXPECT_EQ(emitted.kind, FrameKind::Full) << "step " << step;
+    }
+    (emitted.kind == FrameKind::Full ? fulls : deltas) += 1;
+  }
+  EXPECT_EQ(fulls, kPinnedStreamFulls);
+  EXPECT_EQ(deltas, 120u - kPinnedStreamFulls);
+  EXPECT_EQ(digest, kPinnedStreamDigest);
+}
+
+TEST(CheckpointWireFormat, DeltaFrameSizeMatchesEncodingAtVarintBoundaries) {
+  // (chunk_size, state_size): chunk sizes on both sides of the 1- and 2-byte
+  // varint limits, chunk counts and indices past 128, total sizes at
+  // 127/128 and 16383/16384, and short last chunks.
+  const std::vector<std::pair<std::uint32_t, std::size_t>> shapes = {
+      {1, 200},         {127, 127},           {127, 128},
+      {127, 16515},     {128, 16383},         {128, 16384},
+      {128, 128 * 131}, {16383, 16383 * 3 + 7}, {16384, 16384 * 2},
+      {16384, 16384 * 3 + 1}};
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> ids = {
+      {1, 1}, {127, 127}, {128, 128}, {16384, 300}, {1ull << 62, 1ull << 40}};
+  std::mt19937_64 rng(12);
+  for (const auto& [chunk_size, state_size] : shapes) {
+    const Bytes state = random_state(rng, state_size);
+    const std::size_t chunks = (state_size + chunk_size - 1) / chunk_size;
+    for (const auto& [baseline_id, delta_seq] : ids) {
+      for (const unsigned percent : {0u, 10u, 50u, 90u, 100u}) {
+        std::vector<std::uint32_t> indices;
+        for (std::size_t c = 0; c < chunks; ++c) {
+          if (rng() % 100 < percent) {
+            indices.push_back(static_cast<std::uint32_t>(c));
+          }
+        }
+        ASSERT_EQ(checkpoint::delta_frame_size(baseline_id, delta_seq,
+                                               chunk_size, state_size,
+                                               indices),
+                  checkpoint::encode_delta_frame(baseline_id, delta_seq,
+                                                 chunk_size, state, indices)
+                      .size())
+            << "chunk " << chunk_size << " state " << state_size
+            << " baseline " << baseline_id << " seq " << delta_seq
+            << " chunks carried " << indices.size();
+      }
+    }
+  }
+}
+
 // --- Encoder → store round trips ------------------------------------------
 
 TEST(CheckpointRoundTrip, RandomDirtyPatternsReconstructBitIdentically) {
