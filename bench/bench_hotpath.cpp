@@ -1,10 +1,10 @@
 // Iteration hot-path ablation: one layer at a time —
 //   fused      : single-pass SpMV+reduction kernels vs the unfused sequences
-//                (micro timings + CG end-to-end), with the pool-size-1
+//                (micro timings + the CG solve time), with the pool-size-1
 //                bit-identity gate (memcmp over doubles);
 //   simd       : the runtime-dispatched vector kernels (linalg/simd.hpp) off
-//                vs on — SpMV, the fused reductions, BLAS-1 dot, the SELL
-//                padded layout — with hard gates: element-wise off-vs-on
+//                vs on — SpMV, the fused reductions, BLAS-1 dot — with hard
+//                gates: element-wise off-vs-on
 //                bit-identity, on-path bitwise replay, and CG off-vs-on
 //                parity at solver precision. `--simd-level` prints the
 //                CPUID-detected dispatch level and exits (run_bench.sh
@@ -28,7 +28,6 @@
 #include "bench_common.hpp"
 #include "core/messages.hpp"
 #include "linalg/cg.hpp"
-#include "linalg/csr_sell.hpp"
 #include "linalg/fused.hpp"
 #include "linalg/simd.hpp"
 #include "net/message.hpp"
@@ -106,9 +105,7 @@ struct FusedReport {
   KernelRow dot;
   KernelRow axpy;
   double cg_fused_ms = 0.0;
-  double cg_unfused_ms = 0.0;
   std::size_t cg_iterations = 0;
-  bool cg_bit_identical = false;
   bool ok = false;
 };
 
@@ -186,35 +183,24 @@ FusedReport run_fused(std::size_t side, std::size_t repeats) {
     rep.axpy.bit_identical = bitwise_equal(cf, cu) && one_f == one_u;
   }
 
-  // CG end-to-end: same matrix, zero start, fixed tolerance.
+  // CG end-to-end on the fused kernels: same matrix, zero start, fixed
+  // tolerance.
   {
     linalg::CgOptions opt;
     opt.tolerance = 1e-8;
     opt.max_iterations = 10 * n;
     linalg::Vector x_f;
-    linalg::Vector x_u;
     linalg::CgResult res_f;
-    linalg::CgResult res_u;
-    opt.fused = true;
     rep.cg_fused_ms = time_ns(3, [&] {
                         x_f.assign(n, 0.0);
                         res_f = linalg::conjugate_gradient(a, b, x_f, opt);
                       }) /
                       1e6;
-    opt.fused = false;
-    rep.cg_unfused_ms = time_ns(3, [&] {
-                          x_u.assign(n, 0.0);
-                          res_u = linalg::conjugate_gradient(a, b, x_u, opt);
-                        }) /
-                        1e6;
     rep.cg_iterations = res_f.iterations;
-    rep.cg_bit_identical = bitwise_equal(x_f, x_u) &&
-                           res_f.iterations == res_u.iterations &&
-                           res_f.residual_norm == res_u.residual_norm;
   }
 
   rep.ok = rep.residual.bit_identical && rep.dot.bit_identical &&
-           rep.axpy.bit_identical && rep.cg_bit_identical;
+           rep.axpy.bit_identical;
   return rep;
 }
 
@@ -240,8 +226,6 @@ struct SimdReport {
   SimdKernelRow spmv_dot;
   SimdKernelRow axpy_norm2;
   SimdKernelRow dot;
-  SimdKernelRow sell_spmv;  ///< off = CSR simd-on, on = SELL simd-on
-  double sell_fill_ratio = 0.0;
   double cg_off_ms = 0.0;
   double cg_on_ms = 0.0;
   double cg_parity_diff = -1.0;
@@ -286,16 +270,6 @@ SimdReport run_simd(std::size_t side, std::size_t repeats) {
   }
   timed_both(rep.dot, [&] { acc = linalg::dot(x, b); });
   (void)acc;
-
-  // SELL vs CSR, both with the vector unit on: the layout's own contribution.
-  {
-    const linalg::SellMatrix sell(a);
-    rep.sell_fill_ratio = sell.fill_ratio();
-    linalg::simd::set_enabled(true);
-    rep.sell_spmv.off_ns = time_ns(repeats, [&] { a.multiply(x, y); });
-    rep.sell_spmv.on_ns = time_ns(repeats, [&] { sell.multiply(x, y); });
-    linalg::simd::set_enabled(false);
-  }
 
   // Gate 1: element-wise kernels must be bit-identical off vs on.
   {
@@ -525,13 +499,8 @@ int main(int argc, char** argv) {
   print_kernel_row("spmv_dot", fused.dot, false);
   print_kernel_row("axpy_norm2", fused.axpy, true);
   std::printf("    },\n");
-  std::printf("    \"cg\": {\"fused_ms\": %.3f, \"unfused_ms\": %.3f, "
-              "\"speedup\": %.3f, \"iterations\": %zu, "
-              "\"bit_identical_pool1\": %s},\n",
-              fused.cg_fused_ms, fused.cg_unfused_ms,
-              fused.cg_fused_ms > 0.0 ? fused.cg_unfused_ms / fused.cg_fused_ms
-                                      : 0.0,
-              fused.cg_iterations, fused.cg_bit_identical ? "true" : "false");
+  std::printf("    \"cg\": {\"fused_ms\": %.3f, \"iterations\": %zu},\n",
+              fused.cg_fused_ms, fused.cg_iterations);
   std::printf("    \"ok\": %s\n", fused.ok ? "true" : "false");
   std::printf("  },\n");
   std::printf("  \"simd\": {\n");
@@ -546,13 +515,6 @@ int main(int argc, char** argv) {
   print_simd_row("axpy_norm2", simd.axpy_norm2, false);
   print_simd_row("dot", simd.dot, true);
   std::printf("    },\n");
-  std::printf("    \"sell\": {\"fill_ratio\": %.4f, \"csr_on_ns\": %.0f, "
-              "\"sell_on_ns\": %.0f, \"speedup\": %.3f},\n",
-              simd.sell_fill_ratio, simd.sell_spmv.off_ns,
-              simd.sell_spmv.on_ns,
-              simd.sell_spmv.on_ns > 0.0
-                  ? simd.sell_spmv.off_ns / simd.sell_spmv.on_ns
-                  : 0.0);
   std::printf("    \"cg\": {\"off_ms\": %.3f, \"on_ms\": %.3f, "
               "\"speedup\": %.3f, \"parity_max_abs_diff\": %.6e},\n",
               simd.cg_off_ms, simd.cg_on_ms,
@@ -601,22 +563,21 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "\nfused      : residual %.0f->%.0f ns, dot %.0f->%.0f ns, "
-               "axpy %.0f->%.0f ns, cg %.2f->%.2f ms, bit-identical %s\n",
+               "axpy %.0f->%.0f ns, cg %.2f ms, bit-identical %s\n",
                fused.residual.unfused_ns, fused.residual.fused_ns,
                fused.dot.unfused_ns, fused.dot.fused_ns, fused.axpy.unfused_ns,
-               fused.axpy.fused_ns, fused.cg_unfused_ms, fused.cg_fused_ms,
+               fused.axpy.fused_ns, fused.cg_fused_ms,
                fused.ok ? "yes" : "NO");
   std::fprintf(stderr,
                "simd       : %s; spmv %.0f->%.0f ns (%.2fx), residual "
-               "%.0f->%.0f ns, dot %.0f->%.0f ns, sell spmv %.0f->%.0f ns, "
+               "%.0f->%.0f ns, dot %.0f->%.0f ns, "
                "cg %.2f->%.2f ms, gates %s\n",
                linalg::simd::level_name(linalg::simd::detected_level()),
                simd.spmv.off_ns, simd.spmv.on_ns,
                simd.spmv.on_ns > 0.0 ? simd.spmv.off_ns / simd.spmv.on_ns
                                      : 0.0,
                simd.spmv_residual.off_ns, simd.spmv_residual.on_ns,
-               simd.dot.off_ns, simd.dot.on_ns, simd.sell_spmv.off_ns,
-               simd.sell_spmv.on_ns, simd.cg_off_ms, simd.cg_on_ms,
+               simd.dot.off_ns, simd.dot.on_ns, simd.cg_off_ms, simd.cg_on_ms,
                simd.ok ? "yes" : "NO");
   std::fprintf(stderr,
                "early send : exec %.1f -> %.1f s, data msgs %" PRIu64

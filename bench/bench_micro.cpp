@@ -11,9 +11,9 @@
 
 #include "linalg/cg.hpp"
 #include "linalg/csr.hpp"
-#include "linalg/csr_sell.hpp"
 #include "linalg/fused.hpp"
 #include "linalg/simd.hpp"
+#include "linalg/stencil.hpp"
 #include "core/deadline_heap.hpp"
 #include "core/messages.hpp"
 #include "net/message.hpp"
@@ -65,24 +65,6 @@ void BM_SpMVSimd(benchmark::State& state) {
   state.SetLabel(linalg::simd::level_name(linalg::simd::detected_level()));
 }
 BENCHMARK(BM_SpMVSimd)->Arg(32)->Arg(64)->Arg(128);
-
-/// SELL padded layout with the vector unit on — compare against BM_SpMVSimd
-/// (same matrix, CSR layout) for the layout's own contribution.
-void BM_SpMVSellSimd(benchmark::State& state) {
-  ScopedSimdOn simd;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::SellMatrix a(poisson::assemble_laplacian(n));
-  linalg::Vector x(n * n, 1.0);
-  linalg::Vector y(n * n);
-  for (auto _ : state) {
-    a.multiply(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.nnz()));
-  state.SetLabel(linalg::simd::level_name(linalg::simd::detected_level()));
-}
-BENCHMARK(BM_SpMVSellSimd)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_Dot(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -221,23 +203,42 @@ void BM_ConjugateGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_ConjugateGradient)->Arg(16)->Arg(32)->Arg(64);
 
-// Same solve with the fused kernels disabled (CgOptions::fused = false): the
-// pre-fusion hot path, kept as the ablation baseline.
-void BM_ConjugateGradientUnfused(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto mp = poisson::make_manufactured_problem(n, 7);
+// One inner solve of the Poisson task on a Fig 7 block shape: Args are the
+// grid side n and the block's grid lines (n=96 with 80 tasks gives 1-2 lines,
+// n=240 gives 3). Csr runs the assembled block, Stencil the matrix-free
+// operator the task uses; both produce the same bits.
+template <typename Op>
+void cg_block_solve(benchmark::State& state, const Op& op, std::size_t rows) {
+  Rng rng(11);
+  linalg::Vector b(rows);
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
   linalg::CgOptions options;
-  options.tolerance = 1e-8;
-  options.max_iterations = 10 * n * n;
-  options.fused = false;
+  options.tolerance = 1e-6;
+  options.max_iterations = 400;
+  linalg::CgWorkspace work;
+  linalg::Vector x;
   for (auto _ : state) {
-    linalg::Vector x;
-    const auto result =
-        linalg::conjugate_gradient(mp.problem.a, mp.problem.b, x, options);
+    x.assign(rows, 0.0);
+    const auto result = linalg::conjugate_gradient(op, b, x, options, work);
     benchmark::DoNotOptimize(result.residual_norm);
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ConjugateGradientUnfused)->Arg(16)->Arg(32)->Arg(64);
+
+void BM_CgSolveCsr(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto lines = static_cast<std::size_t>(state.range(1));
+  cg_block_solve(state, poisson::assemble_local_laplacian(n, 0, n * lines),
+                 n * lines);
+}
+BENCHMARK(BM_CgSolveCsr)->Args({96, 2})->Args({240, 3});
+
+void BM_CgSolveStencil(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto lines = static_cast<std::size_t>(state.range(1));
+  cg_block_solve(state, linalg::Laplacian5::grid_block(n, lines), n * lines);
+}
+BENCHMARK(BM_CgSolveStencil)->Args({96, 2})->Args({240, 3});
 
 void BM_SerializeBoundaryLine(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

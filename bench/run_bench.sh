@@ -11,10 +11,10 @@
 # bench_hotpath (the fused/early-send/pool iteration hot-path ablation,
 # $HOTPATH_OUT) and bench_scale (the daemon-count x shard-count sweep of the
 # sharded scheduler, $SCALE_OUT). Every BENCH_*.json is stamped with a `meta`
-# object recording
-# the git SHA, the machine's hardware thread count, the JACEPP_THREADS
-# setting, the CPU's vector ISA flags and the SIMD dispatch level the binary
-# selects, so recorded numbers stay attributable to a revision and a machine.
+# object recording the git SHA (suffixed -dirty when the tree has uncommitted
+# changes), the machine's hardware thread count, the JACEPP_THREADS setting,
+# the CPU's vector ISA flags and the SIMD dispatch level the binary selects,
+# so recorded numbers stay attributable to a revision and a machine.
 # After writing, scripts/bench_guard.sh compares each file against the
 # committed baseline and prints warn-only regression notices.
 #
@@ -39,6 +39,10 @@ HOTPATH_ARGS="${HOTPATH_ARGS:-}"
 SCALE_ARGS="${SCALE_ARGS:-}"
 
 GIT_SHA="$(git -C "${REPO_ROOT}" rev-parse HEAD 2>/dev/null || echo unknown)"
+# Numbers measured on uncommitted changes must not pass for HEAD's.
+if [[ -n "$(git -C "${REPO_ROOT}" status --porcelain 2>/dev/null)" ]]; then
+  GIT_SHA="${GIT_SHA}-dirty"
+fi
 HW_THREADS="$(nproc 2>/dev/null || echo 0)"
 
 # ISA provenance: which vector extensions the machine advertises, and which
@@ -149,7 +153,7 @@ echo "== bench_hotpath (fused / early-send / pool ablation${HOTPATH_ARGS:+, ${HO
 stamp "${HOTPATH_OUT}" "${JACEPP_THREADS:-default}"
 echo "wrote ${HOTPATH_OUT}"
 jq -r '
-  "fused     : residual \(.fused.kernels.spmv_residual_norm2.speedup)x  dot \(.fused.kernels.spmv_dot.speedup)x  axpy \(.fused.kernels.axpy_norm2.speedup)x  cg \(.fused.cg.speedup)x  bit-identical \(.fused.ok)",
+  "fused     : residual \(.fused.kernels.spmv_residual_norm2.speedup)x  dot \(.fused.kernels.spmv_dot.speedup)x  axpy \(.fused.kernels.axpy_norm2.speedup)x  cg \(.fused.cg.fused_ms)ms  bit-identical \(.fused.ok)",
   "early-send: exec \(.early_send.runs.off.execution_time_s)s -> \(.early_send.runs.on.execution_time_s)s  replay_bitwise \(.early_send.replay_bitwise)  ok \(.early_send.ok)",
   "pool      : encode \(.pool.encode.speedup)x  deployment reuse_rate \(.pool.deployment.reuse_rate)"
 ' "${HOTPATH_OUT}"

@@ -16,10 +16,10 @@
 #     BENCH_GUARD_SKIP_BASELINE=1.
 #  2. SIMD speedup floors — the off-vs-on ratios inside BENCH_hotpath.json
 #     are measured within one run on one machine, so they are portable across
-#     machines. On an AVX2 machine the BLAS-1 reductions must clear 1.5x, the
-#     SELL SpMV 1.2x, and the gathered CSR rows must stay above 0.6x (i.e. no
-#     worse than a modest regression vs scalar — they hover near parity on
-#     5-nnz stencil rows and swing +/-30% with scheduler noise; the floor is
+#     machines. On an AVX2 machine the BLAS-1 reductions must clear 1.5x and
+#     the gathered CSR rows must stay above 0.6x (i.e. no worse than a
+#     modest regression vs scalar — they hover near parity on 5-nnz stencil
+#     rows and swing +/-30% with scheduler noise; the floor is
 #     a cliff detector for bugs like a serializing gather dependency, not a
 #     perf target). Floors only apply when the runtime dispatcher actually
 #     selected avx2.
@@ -118,7 +118,6 @@ simd_floor_checks() {
     [
       {metric: "simd/dot",                 value: (.kernels.dot.off_ns / .kernels.dot.on_ns),                                 floor: 1.5},
       {metric: "simd/axpy_norm2",          value: (.kernels.axpy_norm2.off_ns / .kernels.axpy_norm2.on_ns),                   floor: 1.5},
-      {metric: "simd/sell_spmv",           value: .sell.speedup,                                                              floor: 1.2},
       {metric: "simd/spmv",                value: (.kernels.spmv.off_ns / .kernels.spmv.on_ns),                               floor: 0.6},
       {metric: "simd/spmv_residual_norm2", value: (.kernels.spmv_residual_norm2.off_ns / .kernels.spmv_residual_norm2.on_ns), floor: 0.6},
       {metric: "simd/spmv_dot",            value: (.kernels.spmv_dot.off_ns / .kernels.spmv_dot.on_ns),                       floor: 0.6}

@@ -160,11 +160,6 @@ struct PerfConfig {
   /// precision. Applied process-wide at deployment build time via
   /// linalg::simd::set_enabled().
   bool simd = false;
-  /// Build a SELL-slice twin of each Poisson block matrix and route the inner
-  /// CG's SpMV-shaped kernels through it (linalg/csr_sell.hpp). Only pays off
-  /// with `simd` on and AVX2 detected; correct (padded scalar loop)
-  /// everywhere. Applied via linalg::set_sell_enabled().
-  bool sell = false;
 };
 
 }  // namespace jacepp::core

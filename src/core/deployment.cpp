@@ -6,7 +6,6 @@
 #include "core/daemon.hpp"
 #include "core/messages.hpp"
 #include "core/super_peer.hpp"
-#include "linalg/csr_sell.hpp"
 #include "linalg/simd.hpp"
 #include "linalg/vector_ops.hpp"
 #include "serial/buffer_pool.hpp"
@@ -45,7 +44,6 @@ void SimDeployment::build() {
   linalg::set_kernel_grain(config_.perf.grain);
   serial::BufferPool::instance().set_enabled(config_.perf.pool_buffers);
   linalg::simd::set_enabled(config_.perf.simd);
-  linalg::set_sell_enabled(config_.perf.sell);
 
   // --- Super-peer overlay (§5.1; count overridable via cp.super_peers) ---
   const std::size_t sp_count = config_.cp.super_peers > 0

@@ -5,7 +5,6 @@
 #include "core/daemon.hpp"
 #include "core/messages.hpp"
 #include "core/super_peer.hpp"
-#include "linalg/csr_sell.hpp"
 #include "linalg/simd.hpp"
 #include "linalg/vector_ops.hpp"
 #include "serial/buffer_pool.hpp"
@@ -43,7 +42,6 @@ void RtDeployment::start() {
   linalg::set_kernel_grain(config_.perf.grain);
   serial::BufferPool::instance().set_enabled(config_.perf.pool_buffers);
   linalg::simd::set_enabled(config_.perf.simd);
-  linalg::set_sell_enabled(config_.perf.sell);
 
   // Super-peers first: their addresses seed every bootstrap list.
   const std::size_t sp_count = config_.cp.super_peers > 0

@@ -1,35 +1,21 @@
 // Sparse Conjugate Gradient — the inner solver of the paper's block-Jacobi
 // multisplitting (paper §6: "we have chosen the sparse Conjugate Gradient
-// algorithm"). Plain CG and a Jacobi (diagonal) preconditioned variant.
+// algorithm"). Plain CG and a Jacobi (diagonal) preconditioned variant, over
+// an assembled CsrMatrix or the matrix-free Poisson stencil (Laplacian5).
 #pragma once
 
 #include <cstddef>
 
 #include "linalg/csr.hpp"
+#include "linalg/stencil.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace jacepp::linalg {
-
-class SellMatrix;
 
 struct CgOptions {
   double tolerance = 1e-10;      ///< stop when ||r|| <= tolerance * ||b||
   std::size_t max_iterations = 1000;
   bool jacobi_preconditioner = false;
-  /// Use the single-pass fused kernels (linalg/fused.hpp) for the SpMV+dot,
-  /// residual-update+norm and initial-residual steps. Bit-identical to the
-  /// unfused path with a pool of size 1; with pool size >= 2 the fused
-  /// reductions chunk by rows instead of elements, so results may differ by
-  /// FP reassociation only. flops accounting is identical either way.
-  bool fused = true;
-  /// Optional SELL-slice twin of the CSR matrix (linalg/csr_sell.hpp, the
-  /// `perf.sell` knob). When set (and fused), the two SpMV-shaped kernels per
-  /// iteration — initial residual and p·Ap — run on the padded layout, which
-  /// vectorizes short stencil rows four at a time under AVX2. Must be built
-  /// from the same matrix the solve uses; agrees with the CSR path at solver
-  /// precision (lane reassociation only). flops accounting still charges the
-  /// real nnz.
-  const SellMatrix* sell = nullptr;
 };
 
 struct CgResult {
@@ -41,9 +27,34 @@ struct CgResult {
   double flops = 0.0;
 };
 
+/// Scratch vectors of one solve. A caller that solves repeatedly (a task's
+/// inner CG) keeps one alive so no solve allocates once sizes settle.
+struct CgWorkspace {
+  Vector r;
+  Vector p;
+  Vector ap;
+  Vector z;  ///< preconditioned residual; unused without a preconditioner
+};
+
 /// Solve A x = b for symmetric positive definite A, starting from the given x
-/// (warm start). x is updated in place.
-CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
-                            const CgOptions& options = {});
+/// (warm start). x is updated in place. Instantiated for CsrMatrix and
+/// Laplacian5; both charge the same flops for the same nnz.
+template <typename Op>
+CgResult conjugate_gradient(const Op& a, const Vector& b, Vector& x,
+                            const CgOptions& options, CgWorkspace& work);
+
+extern template CgResult conjugate_gradient(const CsrMatrix&, const Vector&,
+                                            Vector&, const CgOptions&,
+                                            CgWorkspace&);
+extern template CgResult conjugate_gradient(const Laplacian5&, const Vector&,
+                                            Vector&, const CgOptions&,
+                                            CgWorkspace&);
+
+/// One-off solve with its own scratch.
+inline CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
+                                   Vector& x, const CgOptions& options = {}) {
+  CgWorkspace work;
+  return conjugate_gradient(a, b, x, options, work);
+}
 
 }  // namespace jacepp::linalg

@@ -93,6 +93,33 @@ double axpy_norm2(double alpha, const Vector& x, Vector& y) {
   return std::sqrt(acc);
 }
 
+double cg_update_norm2sq(double alpha, const Vector& p, const Vector& ap,
+                         Vector& x, Vector& r) {
+  JACEPP_ASSERT(p.size() == x.size() && ap.size() == r.size() &&
+                p.size() == r.size());
+  const double* ps = p.data();
+  const double* aps = ap.data();
+  double* xs = x.data();
+  double* rs = r.data();
+  const bool vec = simd::active();
+  return compute_pool().parallel_reduce(
+      0, r.size(), vector_op_grain(), 0.0,
+      [=](std::size_t lo, std::size_t hi) {
+        if (vec) {
+          simd::axpy(alpha, ps + lo, xs + lo, hi - lo);
+          return simd::axpy_norm2sq(-alpha, aps + lo, rs + lo, hi - lo);
+        }
+        double partial = 0.0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          xs[i] += alpha * ps[i];
+          rs[i] += -alpha * aps[i];
+          partial += rs[i] * rs[i];
+        }
+        return partial;
+      },
+      [](double a_, double b_) { return a_ + b_; });
+}
+
 SweepStats relax_sweep_fused(const CsrMatrix& a, const Vector& inv_diag,
                              const Vector& b, const Vector& x_in, Vector& x_out,
                              double omega, std::size_t row_lo,

@@ -36,6 +36,13 @@ double spmv_dot(const CsrMatrix& a, const Vector& x, Vector& y);
 /// bit-for-bit at EVERY pool size, not just 1.
 double axpy_norm2(double alpha, const Vector& x, Vector& y);
 
+/// The CG iterate update in one pass: x += alpha * p and r += (-alpha) * ap;
+/// returns Σ r² afterwards (squared, so CG reuses it as <r, r>). Chunks by
+/// vector_op_grain() like axpy() + axpy_norm2(), and matches that pair
+/// bit-for-bit at every pool size.
+double cg_update_norm2sq(double alpha, const Vector& p, const Vector& ap,
+                         Vector& x, Vector& r);
+
 /// Partial sums produced by one fused relaxation sweep.
 struct SweepStats {
   double diff2 = 0.0;  ///< sum of squared per-row updates

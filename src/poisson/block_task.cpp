@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/fused.hpp"
 #include "poisson/poisson.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -32,18 +31,23 @@ linalg::CsrMatrix assemble_local_laplacian(std::size_t n, std::size_t row_lo,
 }
 
 linalg::Vector global_rhs(const PoissonConfig& config) {
+  return rhs_rows(config, 0, std::size_t{config.n} * config.n);
+}
+
+linalg::Vector rhs_rows(const PoissonConfig& config, std::size_t row_lo,
+                        std::size_t row_hi) {
   const std::size_t n = config.n;
-  if (config.rhs_kind == 1) {
-    Rng rng(config.rhs_seed);
-    linalg::Vector exact(n * n);
-    for (double& v : exact) v = rng.uniform(-1.0, 1.0);
-    linalg::Vector b;
-    assemble_laplacian(n).multiply(exact, b);
-    return b;
+  if (config.rhs_kind != 1) {
+    return assemble_rhs(n, default_source, row_lo, row_hi);
   }
-  return assemble_rhs(n, [](double x, double y) {
-    return 2.0 * M_PI * M_PI * std::sin(M_PI * x) * std::sin(M_PI * y);
-  });
+  // b = A x* couples every row to the whole random x*: build it globally.
+  Rng rng(config.rhs_seed);
+  linalg::Vector exact(n * n);
+  for (double& v : exact) v = rng.uniform(-1.0, 1.0);
+  linalg::Vector b;
+  assemble_laplacian(n).multiply(exact, b);
+  return linalg::Vector(b.begin() + static_cast<std::ptrdiff_t>(row_lo),
+                        b.begin() + static_cast<std::ptrdiff_t>(row_hi));
 }
 
 serial::Bytes encode_config(const PoissonConfig& config) {
@@ -71,20 +75,8 @@ void PoissonTask::init(const core::AppDescriptor& app, core::TaskId task_id) {
                  "PoissonTask: overlap too large for this block size");
   }
 
-  const double h = 1.0 / static_cast<double>(n + 1);
-  inv_h2_ = 1.0 / (h * h);
-
-  a_local_ = assemble_local_laplacian(n, block_.ext_lo, block_.ext_hi);
-
-  const linalg::Vector full_rhs = global_rhs(config_);
-  b_ext_.assign(full_rhs.begin() + static_cast<std::ptrdiff_t>(block_.ext_lo),
-                full_rhs.begin() + static_cast<std::ptrdiff_t>(block_.ext_hi));
-
-  inv_diag_ = a_local_.diagonal();
-  for (double& d : inv_diag_) d = 1.0 / d;  // 4/h² on every row, never zero
-
-  sell_.reset();
-  if (linalg::sell_enabled()) sell_.emplace(a_local_);
+  op_ = linalg::Laplacian5::grid_block(n, block_.ext_size() / n);
+  b_ext_ = rhs_rows(config_, block_.ext_lo, block_.ext_hi);
 
   x_ext_.assign(block_.ext_size(), 0.0);
   early_x_.clear();
@@ -98,18 +90,19 @@ void PoissonTask::init(const core::AppDescriptor& app, core::TaskId task_id) {
   total_flops_ = 0.0;
 }
 
-void PoissonTask::build_rhs(linalg::Vector& rhs) const {
+void PoissonTask::build_rhs() {
   const std::size_t n = config_.n;
-  rhs = b_ext_;
+  const double inv_h2 = op_.inv_h2;
+  rhs_ = b_ext_;
   // Dirichlet data at the extended boundary comes from the neighbours' latest
   // published lines; the outermost tasks use the domain boundary (zero).
   if (task_id_ > 0) {
-    for (std::size_t i = 0; i < n; ++i) rhs[i] += inv_h2_ * lower_boundary_[i];
+    for (std::size_t i = 0; i < n; ++i) rhs_[i] += inv_h2 * lower_boundary_[i];
   }
   if (task_id_ + 1 < task_count_) {
     const std::size_t base = block_.ext_size() - n;
     for (std::size_t i = 0; i < n; ++i) {
-      rhs[base + i] += inv_h2_ * upper_boundary_[i];
+      rhs_[base + i] += inv_h2 * upper_boundary_[i];
     }
   }
 }
@@ -129,8 +122,7 @@ double PoissonTask::iterate() {
     return last_solve_flops_;
   }
 
-  linalg::Vector rhs;
-  build_rhs(rhs);
+  build_rhs();
 
   // Early halo publish (perf.early_send): pre-relax the two outgoing boundary
   // lines with one fused weighted-Jacobi sweep against the FRESH rhs and ship
@@ -139,14 +131,14 @@ double PoissonTask::iterate() {
   // through outgoing() after the solve (previews never mark anything as sent).
   double preview_flops = 0.0;
   if (early_publish_enabled() && task_count_ > 1) {
-    preview_flops = publish_boundary_preview(rhs);
+    preview_flops = publish_boundary_preview();
   }
 
   linalg::CgOptions options;
   options.tolerance = config_.inner_tolerance;
   options.max_iterations = config_.inner_max_iterations;
-  if (sell_) options.sell = &*sell_;
-  const auto cg = linalg::conjugate_gradient(a_local_, rhs, x_ext_, options);
+  const auto cg =
+      linalg::conjugate_gradient(op_, rhs_, x_ext_, options, cg_work_);
   last_solve_converged_ = cg.converged;
   sent_since_last_solve_ = false;
   ckpt_solve_dirty_ = true;
@@ -200,7 +192,7 @@ double PoissonTask::iterate() {
   return flops;
 }
 
-double PoissonTask::publish_boundary_preview(const linalg::Vector& rhs) {
+double PoissonTask::publish_boundary_preview() {
   const std::size_t n = config_.n;
   const std::size_t overlap_rows = config_.overlap_lines * n;
   if (early_x_.size() != x_ext_.size()) early_x_.assign(x_ext_.size(), 0.0);
@@ -208,15 +200,13 @@ double PoissonTask::publish_boundary_preview(const linalg::Vector& rhs) {
   // ω = 2/3: the classic damped-Jacobi weight — the preview only needs to be
   // closer to the post-solve line than the stale one, not converged.
   constexpr double kOmega = 2.0 / 3.0;
-  const auto& row_ptr = a_local_.row_ptr();
   double flops = 0.0;
   std::vector<core::OutgoingData> out;
 
   auto preview_line = [&](std::size_t global_start) {
     const std::size_t lo = global_start - block_.ext_lo;
-    linalg::relax_sweep_fused(a_local_, inv_diag_, rhs, x_ext_, early_x_,
-                              kOmega, lo, lo + n);
-    flops += 2.0 * static_cast<double>(row_ptr[lo + n] - row_ptr[lo]) +
+    op_.relax_sweep(rhs_, x_ext_, early_x_, kOmega, lo, lo + n);
+    flops += 2.0 * static_cast<double>(op_.nnz(lo, lo + n)) +
              4.0 * static_cast<double>(n);
     serial::Writer writer;
     linalg::Vector line(early_x_.begin() + static_cast<std::ptrdiff_t>(lo),

@@ -17,8 +17,8 @@
 #include "core/task.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/csr.hpp"
-#include "linalg/csr_sell.hpp"
 #include "linalg/partition.hpp"
+#include "linalg/stencil.hpp"
 
 namespace jacepp::poisson {
 
@@ -61,6 +61,8 @@ struct PoissonConfig {
 /// Assemble rows [row_lo, row_hi) of the n-grid Laplacian over the SAME
 /// column window, in local indices; couplings to columns outside the window
 /// (the two boundary grid lines) are excluded — they enter through the rhs.
+/// PoissonTask applies this block matrix-free (linalg::Laplacian5); the CSR
+/// form is the reference the stencil is tested against.
 linalg::CsrMatrix assemble_local_laplacian(std::size_t n, std::size_t row_lo,
                                            std::size_t row_hi);
 
@@ -103,12 +105,13 @@ class PoissonTask : public core::Task {
   [[nodiscard]] std::size_t boundary_payload_bytes() const;
 
  private:
-  void build_rhs(linalg::Vector& rhs) const;
+  /// rhs_ = b_ext_ plus the neighbours' boundary lines.
+  void build_rhs();
 
   /// Early halo publish: one fused damped-Jacobi sweep over each outgoing
-  /// boundary line's rows (against the given fresh rhs), shipped through
+  /// boundary line's rows (against the fresh rhs_), shipped through
   /// publish_early(). Returns the flops spent on the previews.
-  double publish_boundary_preview(const linalg::Vector& rhs);
+  double publish_boundary_preview();
 
   PoissonConfig config_;
   core::TaskId task_id_ = 0;
@@ -116,16 +119,15 @@ class PoissonTask : public core::Task {
   std::vector<linalg::RowBlock> blocks_;
   linalg::RowBlock block_;
 
-  linalg::CsrMatrix a_local_;
-  /// SELL-slice twin of a_local_ for the inner CG's SpMV kernels, built at
-  /// init when `perf.sell` is on (linalg::sell_enabled()). Derived from
-  /// a_local_ like the matrix itself, so checkpoints never carry it.
-  std::optional<linalg::SellMatrix> sell_;
+  /// The extended block's Laplacian, applied matrix-free.
+  linalg::Laplacian5 op_;
   linalg::Vector b_ext_;
   linalg::Vector x_ext_;
   linalg::Vector owned_prev_;
-  linalg::Vector inv_diag_;  ///< 1 / diag(a_local_), for preview sweeps
-  linalg::Vector early_x_;   ///< scratch output of preview sweeps
+  linalg::Vector early_x_;  ///< scratch output of preview sweeps
+  // Per-solve scratch, reused across iterate() calls; never checkpointed.
+  linalg::Vector rhs_;
+  linalg::CgWorkspace cg_work_;
 
   // Latest boundary lines received (last-received-wins; see DESIGN.md).
   linalg::Vector lower_boundary_;  ///< grid line just below ext_lo
@@ -143,7 +145,6 @@ class PoissonTask : public core::Task {
   bool ckpt_lower_dirty_ = true;
   bool ckpt_upper_dirty_ = true;
 
-  double inv_h2_ = 0.0;
   double local_error_ = 1.0;
   bool last_iteration_informative_ = false;
   bool last_solve_converged_ = false;
@@ -169,6 +170,11 @@ serial::Bytes encode_config(const PoissonConfig& config);
 
 /// The global right-hand side a PoissonConfig describes (for verification).
 linalg::Vector global_rhs(const PoissonConfig& config);
+
+/// Rows [row_lo, row_hi) of global_rhs(config), bit for bit. The default
+/// source (rhs_kind 0) is evaluated on those rows only.
+linalg::Vector rhs_rows(const PoissonConfig& config, std::size_t row_lo,
+                        std::size_t row_hi);
 
 /// Ensure this translation unit's program registration is linked in.
 void force_registration();

@@ -27,25 +27,31 @@ linalg::CsrMatrix assemble_laplacian(std::size_t n) {
 }
 
 linalg::Vector assemble_rhs(std::size_t n, const Field& f) {
+  return assemble_rhs(n, f, 0, n * n);
+}
+
+linalg::Vector assemble_rhs(std::size_t n, const Field& f, std::size_t row_lo,
+                            std::size_t row_hi) {
+  JACEPP_ASSERT(row_lo <= row_hi && row_hi <= n * n);
   const double h = 1.0 / static_cast<double>(n + 1);
-  linalg::Vector b(n * n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = static_cast<double>(i + 1) * h;
-      const double y = static_cast<double>(j + 1) * h;
-      b[j * n + i] = f(x, y);
-    }
+  linalg::Vector b(row_hi - row_lo);
+  for (std::size_t row = row_lo; row < row_hi; ++row) {
+    const double x = static_cast<double>(row % n + 1) * h;
+    const double y = static_cast<double>(row / n + 1) * h;
+    b[row - row_lo] = f(x, y);
   }
   return b;
+}
+
+double default_source(double x, double y) {
+  return 2.0 * M_PI * M_PI * std::sin(M_PI * x) * std::sin(M_PI * y);
 }
 
 PoissonProblem make_default_problem(std::size_t n) {
   PoissonProblem problem;
   problem.n = n;
   problem.a = assemble_laplacian(n);
-  problem.b = assemble_rhs(n, [](double x, double y) {
-    return 2.0 * M_PI * M_PI * std::sin(M_PI * x) * std::sin(M_PI * y);
-  });
+  problem.b = assemble_rhs(n, default_source);
   return problem;
 }
 

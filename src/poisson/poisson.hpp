@@ -24,6 +24,14 @@ linalg::CsrMatrix assemble_laplacian(std::size_t n);
 /// zero for homogeneous Dirichlet).
 linalg::Vector assemble_rhs(std::size_t n, const Field& f);
 
+/// Rows [row_lo, row_hi) of assemble_rhs(n, f), evaluating f on those grid
+/// points only.
+linalg::Vector assemble_rhs(std::size_t n, const Field& f, std::size_t row_lo,
+                            std::size_t row_hi);
+
+/// The default source f = 2π² sin(πx) sin(πy).
+double default_source(double x, double y);
+
 struct PoissonProblem {
   std::size_t n = 0;            ///< grid side; system size is n²
   linalg::CsrMatrix a;

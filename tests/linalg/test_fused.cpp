@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstring>
 
-#include "linalg/cg.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/fused.hpp"
 #include "linalg/vector_ops.hpp"
@@ -102,6 +101,30 @@ TEST(FusedKernels, AxpyNorm2BitIdenticalAtEveryPoolSize) {
   }
 }
 
+TEST(FusedKernels, CgUpdateNorm2sqBitIdenticalAtEveryPoolSize) {
+  // cg_update_norm2sq == axpy(alpha, p, x) + axpy_norm2(-alpha, ap, r),
+  // squared, at every pool size.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    ThreadPool pool(threads, /*force_workers=*/true);
+    ScopedComputePool scoped(pool);
+    const std::size_t n = 3 * kVectorOpGrain + 17;
+    const Vector p = random_vector(n, 43);
+    const Vector ap = random_vector(n, 47);
+    Vector x_ref = random_vector(n, 53);
+    Vector r_ref = random_vector(n, 59);
+    Vector x = x_ref;
+    Vector r = r_ref;
+    axpy(0.375, p, x_ref);
+    const double norm_ref = axpy_norm2(-0.375, ap, r_ref);
+    const double rr = cg_update_norm2sq(0.375, p, ap, x, r);
+    EXPECT_TRUE(bitwise_equal(x, x_ref)) << "threads=" << threads;
+    EXPECT_TRUE(bitwise_equal(r, r_ref)) << "threads=" << threads;
+    EXPECT_EQ(std::sqrt(rr), norm_ref) << "threads=" << threads;
+    EXPECT_EQ(rr, dot(r, r)) << "threads=" << threads;
+  }
+}
+
 TEST(FusedKernels, RelaxSweepMatchesReferenceLoopAtPoolOne) {
   ThreadPool pool(1);
   ScopedComputePool scoped(pool);
@@ -139,31 +162,6 @@ TEST(FusedKernels, RelaxSweepMatchesReferenceLoopAtPoolOne) {
   // Rows outside the window stay untouched.
   EXPECT_EQ(x_out[0], 0.0);
   EXPECT_EQ(x_out[n - 1], 0.0);
-}
-
-TEST(FusedKernels, CgFusedBitIdenticalToUnfusedAtPoolOne) {
-  ThreadPool pool(1);
-  ScopedComputePool scoped(pool);
-  const auto a = poisson::assemble_laplacian(16);
-  const Vector b = random_vector(a.rows(), 61);
-
-  CgOptions unfused;
-  unfused.fused = false;
-  unfused.tolerance = 1e-10;
-  Vector x_unfused(a.rows(), 0.0);
-  const CgResult r_unfused = conjugate_gradient(a, b, x_unfused, unfused);
-
-  CgOptions fused = unfused;
-  fused.fused = true;
-  Vector x_fused(a.rows(), 0.0);
-  const CgResult r_fused = conjugate_gradient(a, b, x_fused, fused);
-
-  EXPECT_TRUE(r_unfused.converged);
-  EXPECT_TRUE(r_fused.converged);
-  EXPECT_EQ(r_fused.iterations, r_unfused.iterations);
-  EXPECT_EQ(r_fused.residual_norm, r_unfused.residual_norm);
-  EXPECT_EQ(r_fused.flops, r_unfused.flops);
-  EXPECT_TRUE(bitwise_equal(x_fused, x_unfused));
 }
 
 // --- Pool sizes >= 2: chunk-stability across pools and grains -------------

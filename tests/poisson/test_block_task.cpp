@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "linalg/cg.hpp"
 #include "linalg/vector_ops.hpp"
 #include "poisson/poisson.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace jacepp::poisson {
 namespace {
@@ -236,6 +240,97 @@ TEST(BlockTask, AssembleSolutionSkipsMissingPayloads) {
   EXPECT_DOUBLE_EQ(x[0], 1.5);
   EXPECT_DOUBLE_EQ(x[31], 1.5);
   EXPECT_DOUBLE_EQ(x[32], 0.0);
+}
+
+TEST(BlockTask, RhsRowsMatchGlobalSlice) {
+  for (const std::uint32_t kind : {0u, 1u}) {
+    PoissonConfig pc;
+    pc.n = 9;
+    pc.rhs_kind = kind;
+    pc.rhs_seed = 77;
+    const linalg::Vector global = global_rhs(pc);
+    for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, 81},
+                                 {0, 9}, {27, 45}, {72, 81}}) {
+      const linalg::Vector rows = rhs_rows(pc, lo, hi);
+      ASSERT_EQ(rows.size(), hi - lo);
+      EXPECT_EQ(std::memcmp(rows.data(), global.data() + lo,
+                            rows.size() * sizeof(double)),
+                0)
+          << "kind=" << kind << " rows=[" << lo << "," << hi << ")";
+    }
+  }
+}
+
+bool bitwise_equal(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A PoissonTask fed a fresh random boundary line from each neighbour before
+/// every iterate() must reproduce, bit for bit, the inner solves of a CG on
+/// the assembled CSR block: x_ext() after each call and the flops iterate()
+/// returns.
+void expect_task_matches_csr_cg(std::uint32_t tasks, core::TaskId id,
+                                std::uint32_t overlap_lines) {
+  const std::uint32_t n = 24;
+  PoissonConfig pc;
+  pc.n = n;
+  pc.overlap_lines = overlap_lines;
+  pc.inner_tolerance = 1e-9;
+  pc.work_scale = 3.0;
+  core::AppDescriptor app;
+  app.task_count = tasks;
+  app.config = encode_config(pc);
+  PoissonTask task;
+  task.init(app, id);
+
+  const auto& blk = task.block();
+  const linalg::CsrMatrix a =
+      assemble_local_laplacian(n, blk.ext_lo, blk.ext_hi);
+  const linalg::Vector b_ext = rhs_rows(pc, blk.ext_lo, blk.ext_hi);
+  const double h = 1.0 / static_cast<double>(n + 1);
+  const double inv_h2 = 1.0 / (h * h);
+  linalg::CgOptions options;
+  options.tolerance = pc.inner_tolerance;
+  options.max_iterations = pc.inner_max_iterations;
+  linalg::Vector x(blk.ext_size(), 0.0);
+
+  Rng rng(900 + id);
+  for (std::uint64_t it = 1; it <= 6; ++it) {
+    linalg::Vector rhs = b_ext;
+    const auto feed = [&](core::TaskId from, std::size_t base) {
+      linalg::Vector line(n);
+      for (double& v : line) v = rng.uniform(-1.0, 1.0);
+      for (std::size_t i = 0; i < n; ++i) rhs[base + i] += inv_h2 * line[i];
+      serial::Writer w;
+      w.f64_vector(line);
+      task.on_data(from, it, w.take());
+    };
+    if (id > 0) feed(id - 1, 0);
+    if (id + 1 < tasks) feed(id + 1, blk.ext_size() - n);
+
+    const auto cg = linalg::conjugate_gradient(a, rhs, x, options);
+    const double flops =
+        (cg.flops + 6.0 * static_cast<double>(blk.ext_size())) * pc.work_scale;
+    const double got = task.iterate();
+    EXPECT_EQ(std::memcmp(&got, &flops, sizeof(double)), 0)
+        << "task " << id << " iteration " << it;
+    EXPECT_TRUE(bitwise_equal(task.x_ext(), x))
+        << "task " << id << " iteration " << it;
+  }
+}
+
+TEST(BlockTask, StencilSolvesMatchCsrCgBitwise) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads, /*force_workers=*/true);
+    ScopedComputePool scoped(pool);
+    linalg::set_kernel_grain(threads > 1 ? 64 : 0);
+    expect_task_matches_csr_cg(3, 0, 0);
+    expect_task_matches_csr_cg(3, 1, 1);
+    expect_task_matches_csr_cg(3, 2, 1);
+    expect_task_matches_csr_cg(2, 0, 2);
+    linalg::set_kernel_grain(0);
+  }
 }
 
 }  // namespace
